@@ -12,7 +12,6 @@ module Rng = Kamino_sim.Rng
 module Kv = Kamino_kv.Kv
 module Ycsb = Kamino_workload.Ycsb
 module Driver = Kamino_workload.Driver
-module Chain = Kamino_chain.Chain
 module Cost_model = Kamino_nvm.Cost_model
 
 let ycsb_workloads = [ Ycsb.A; Ycsb.B; Ycsb.C; Ycsb.D; Ycsb.F ]
@@ -216,9 +215,9 @@ let fig17_18 p =
     List.map
       (fun wl ->
         let kam_kops, kam_lat, _ =
-          run_chain p (Chain.Kamino_chain { alpha = None }) wl ~clients:12
+          run_chain p (Async.Kamino_chain { alpha = None }) wl ~clients:12
         in
-        let trad_kops, trad_lat, _ = run_chain p Chain.Traditional wl ~clients:12 in
+        let trad_kops, trad_lat, _ = run_chain p Async.Traditional wl ~clients:12 in
         (wl, (kam_lat, trad_lat), (kam_kops, trad_kops)))
       wls
   in
@@ -305,9 +304,9 @@ let table1 p =
       (us_of_ns lat) kops
       (float_of_int storage /. 1e9)
   in
-  check Chain.Traditional "traditional";
-  check (Chain.Kamino_chain { alpha = None }) "kamino (full head)";
-  check (Chain.Kamino_chain { alpha = Some 0.2 }) "kamino (dynamic head)"
+  check Async.Traditional "traditional";
+  check (Async.Kamino_chain { alpha = None }) "kamino (full head)";
+  check (Async.Kamino_chain { alpha = Some 0.2 }) "kamino (dynamic head)"
 
 (* --- §7.1 dependent transactions ----------------------------------------- *)
 
@@ -472,13 +471,12 @@ let recovery p =
    keeps the "during" column finite and the data consistent. *)
 let availability p =
   header "Availability: write latency (us) around a mid-replica quick reboot (extension)";
-  let module Async = Kamino_chain.Async_chain in
-  let module Op = Kamino_chain.Op in
   let c =
     Async.create
       ~engine_config:{ (engine_config p) with Engine.heap_bytes = p.heap_bytes / 4 }
-      ~hop_ns:5000 ~rpc_ns:1000 ~mode:Async.Kamino_chain ~f:2 ~value_size:p.value_size
-      ~node_size:p.node_size ~seed:57 ()
+      ~hop_ns:5000 ~rpc_ns:1000
+      ~mode:(Async.Kamino_chain { alpha = None })
+      ~f:2 ~value_size:p.value_size ~node_size:p.node_size ~seed:57 ()
   in
   let payload = String.make (p.value_size - 64) 'a' in
   let period = 25_000 in

@@ -1,8 +1,6 @@
-(** Asynchronous chain replication over the discrete-event engine.
-
-    Where {!Chain} executes a write synchronously down the chain (simple,
-    and sufficient for the latency/throughput experiments), this module
-    implements §5.1–§5.3's machinery explicitly and asynchronously:
+(** Kamino-Tx-Chain (§5): chain replication over the discrete-event
+    engine. It implements §5.1–§5.3's machinery explicitly and
+    asynchronously:
 
     - operations are serializable commands ({!Op}) with a global sequence
       number assigned at the head;
@@ -30,7 +28,13 @@
     exist for the chaos explorer, which injects faults at event boundaries
     of the simulation rather than at pre-planned virtual times. *)
 
-type mode = Traditional | Kamino_chain
+(** [Traditional]: [f+1] undo-logging replicas, each copying data in the
+    critical path of every write. [Kamino_chain]: [f+2] replicas; the head
+    keeps a local backup — full ([alpha = None], Kamino-Tx-Simple) or
+    partial ([Some a], Kamino-Tx-Dynamic with an LRU backup of [a] times
+    the heap) — and every other replica runs [Intent_only], updating in
+    place with no local copies. *)
+type mode = Traditional | Kamino_chain of { alpha : float option }
 
 (** Deliberately broken recovery, for validating the chaos oracles: a
     harness that cannot catch [Drop_inflight_on_reboot] (a reboot that

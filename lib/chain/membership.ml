@@ -1,37 +1,21 @@
 type view = { id : int; members : int list }
 
-type t = {
-  mutable view : view;
-  failure_timeout_ns : int;
-  heartbeats : (int, int) Hashtbl.t;  (* node -> last heartbeat time *)
-}
+type t = { mutable view : view }
 
-let create ~members ~failure_timeout_ns =
+let create ~members =
   if members = [] then invalid_arg "Membership.create: empty chain";
-  {
-    view = { id = 1; members };
-    failure_timeout_ns;
-    heartbeats = Hashtbl.create 8;
-  }
+  { view = { id = 1; members } }
 
 let current t = t.view
 
 let validate t ~view_id = if view_id = t.view.id then `Current else `Stale t.view
 
-let install t members =
-  t.view <- { id = t.view.id + 1; members };
-  t.view
-
 let remove t node =
   if not (List.mem node t.view.members) then
     invalid_arg (Printf.sprintf "Membership.remove: node %d is not a member" node);
-  Hashtbl.remove t.heartbeats node;
-  install t (List.filter (fun m -> m <> node) t.view.members)
-
-let add_tail t node =
-  if List.mem node t.view.members then
-    invalid_arg (Printf.sprintf "Membership.add_tail: node %d is already a member" node);
-  install t (t.view.members @ [ node ])
+  let members = List.filter (fun m -> m <> node) t.view.members in
+  t.view <- { id = t.view.id + 1; members };
+  t.view
 
 (* Neighbour lookup by position in the member list. *)
 let neighbours node members =
@@ -48,25 +32,13 @@ let neighbours node members =
 let rejoin t ~node ~believed_view =
   ignore believed_view;
   (* Whether or not the believed view is stale, the answer is the current
-     view; what matters is whether the node survived the detector. *)
+     view; what matters is whether the node is still a member. *)
   match neighbours node t.view.members with
   | None -> `Removed t.view
   | Some (pred, succ) -> `Member (t.view, pred, succ)
-
-let is_head t node = match t.view.members with h :: _ -> h = node | [] -> false
 
 let predecessor t node =
   match neighbours node t.view.members with Some (p, _) -> p | None -> None
 
 let successor t node =
   match neighbours node t.view.members with Some (_, s) -> s | None -> None
-
-let record_heartbeat t ~node ~now = Hashtbl.replace t.heartbeats node now
-
-let suspects t ~now =
-  List.filter
-    (fun node ->
-      match Hashtbl.find_opt t.heartbeats node with
-      | Some last -> now - last > t.failure_timeout_ns
-      | None -> false (* never heard from: not yet monitored *))
-    t.view.members
