@@ -36,7 +36,7 @@ let create_dynamic ~slots ~table ~capacity ~policy =
     {
       slots = Heap.format slots;
       table = Phash.format table ~capacity;
-      lru = Lru.create ~size_hint:capacity ();
+      lru = Lru.create ();
       policy;
       hits = 0;
       misses = 0;
@@ -62,7 +62,7 @@ let reopen t =
                 let slot, len = unpack_slot value in
                 f slot len))
       in
-      let lru = Lru.create ~size_hint:(Phash.capacity table) () in
+      let lru = Lru.create ~size_hint:(Phash.count table) () in
       Phash.iter table (fun ~key ~value:_ -> Lru.touch lru key);
       Dynamic
         { slots; table; lru; policy = d.policy; hits = 0; misses = 0; evictions = 0 }

@@ -36,7 +36,6 @@ type config = Variant.config = {
   flush_per_intent : bool;
   global_pending : bool;
   coalesce_writes : bool;
-  lock_shards : int;
 }
 
 let default_config = Variant.default_config
@@ -172,7 +171,7 @@ let create ?(config = default_config) ?(obs = Obs.null) ?(obs_track = 1) ~kind
       dlog_region;
       dlog;
       bkp;
-      locks = Locks.create ~shards:config.lock_shards ();
+      locks = Locks.create ();
       appl = None;
       clk;
       rng;
@@ -267,7 +266,7 @@ let declare ?lock_key tx ~off ~len ~redirectable =
       Obs.enabled t.e_obs
       &&
       match t.appl with
-      | Some appl -> Locks.last_writer_task_e le > Applier.applied_through appl
+      | Some appl -> Locks.last_writer_task_e t.locks le > Applier.applied_through appl
       | None -> false
     in
     let held_at =
@@ -330,7 +329,7 @@ let read_lock tx p =
     Obs.enabled t.e_obs
     &&
     match t.appl with
-    | Some appl -> Locks.last_writer_task_e e > Applier.applied_through appl
+    | Some appl -> Locks.last_writer_task_e t.locks e > Applier.applied_through appl
     | None -> false
   in
   let held_at =
@@ -710,7 +709,7 @@ let crash t =
   Array.iter Region.crash t.all_regions
 
 let recover ?(promote_running = fun _ -> false) t =
-  t.locks <- Locks.create ~shards:t.e_config.lock_shards ();
+  t.locks <- Locks.create ();
   t.active <- None;
   t.heap <- Heap.open_existing t.main;
   t.strat.v_recover t ~promote_running

@@ -67,7 +67,6 @@ type config = Variant.config = {
           same-object gaps) before it reaches the intent log and the
           applier, and merge consecutive applier tasks into one copy pass
           when draining. Off = the raw per-declare path, for A/B benches. *)
-  lock_shards : int;  (** stripe count of the volatile lock table *)
 }
 
 val default_config : config

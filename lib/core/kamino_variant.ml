@@ -49,7 +49,7 @@ let declare ~dynamic t tx ~le ~off ~len ~redirectable:_ =
    else begin
      (* The lock wait already advanced our clock past the applier finish
         time for this object; catch the data up too. *)
-     let last = Locks.last_writer_task_e le in
+     let last = Locks.last_writer_task_e t.locks le in
      if last > Applier.applied_through appl then Applier.sync_through appl last
    end);
   let slot = claim_slot tx in
@@ -109,7 +109,7 @@ let finalize ~dynamic t tx slot =
     Applier.enqueue appl ~commit_time:(Clock.now t.clk) ~cost_ns:tcost ~tx_id:tx.id
       ~slot ~ranges:iranges
   in
-  List.iter (fun e -> Locks.set_last_writer_task_e e task) tx.lock_entries;
+  List.iter (fun e -> Locks.set_last_writer_task_e t.locks e task) tx.lock_entries;
   (if Obs.enabled t.e_obs then begin
      (* The task occupies [finish_at - cost, finish_at) of the applier's
         private timeline ([Applier.enqueue] computes

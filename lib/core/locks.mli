@@ -16,19 +16,20 @@
       never evict ("pending objects are never candidates for eviction").
 
     Lock keys are NVM byte offsets: an object's extent start, or a metadata
-    word's offset. *)
+    word's offset.
+
+    The table is flat: a {!Flat_index} maps a key to a stable entry id, and
+    an entry's fields (writer release, reader release, last task with the
+    active bit, held base) are four consecutive words of a chunked
+    [int array]. A look-up touches one probe line and one field line, and
+    neither hashes nor compares polymorphically. Entries are never deleted:
+    the table holds every key ever locked since the last {!create}. *)
 
 type t
 
 type key = int
 
-(** [create ?shards ()] builds a lock table striped into [shards]
-    (default 16) independent hash tables. A key's shard is selected from
-    its offset with the low 6 bits dropped, so the words of one cache line
-    land together while distinct objects spread across shards. *)
-val create : ?shards:int -> unit -> t
-
-val shard_count : t -> int
+val create : unit -> t
 
 (** [acquire_write t key ~now ~cost_ns] returns the virtual time at which
     the caller actually holds the write lock: [max now writer_release
@@ -45,28 +46,28 @@ val acquire_read : t -> key -> now:int -> cost_ns:float -> int
     A lock acquisition resolves the key to its table entry once; callers
     that will release the same lock (and stamp its applier task) later in
     the transaction can keep the handle and skip the re-hash on every
-    subsequent touch. Handles stay valid for the lifetime of the table
-    they came from. *)
+    subsequent touch. A handle is an int id that stays valid for the
+    lifetime of the table it came from: the key index grows, but entries
+    never move. *)
 
-type entry
+type entry [@@immediate]
 
 (** [entry_of t key] resolves (creating if absent) the entry for [key]. *)
 val entry_of : t -> key -> entry
 
-(** Entry-handle variants of the key-based operations above. The [t]
-    parameter on the acquires is for the wait statistics only. *)
+(** Entry-handle variants of the key-based operations. *)
 
 val acquire_write_e : t -> entry -> now:int -> cost_ns:float -> int
 
 val acquire_read_e : t -> entry -> now:int -> cost_ns:float -> int
 
-val release_write_e : entry -> at:int -> unit
+val release_write_e : t -> entry -> at:int -> unit
 
-val release_read_e : entry -> at:int -> unit
+val release_read_e : t -> entry -> at:int -> unit
 
-val last_writer_task_e : entry -> int
+val last_writer_task_e : t -> entry -> int
 
-val set_last_writer_task_e : entry -> int -> unit
+val set_last_writer_task_e : t -> entry -> int -> unit
 
 (** [release_writes t keys ~at] records that the write locks on [keys] are
     released at virtual time [at] and clears active-transaction ownership. *)
@@ -77,7 +78,13 @@ val release_reads : t -> key list -> at:int -> unit
 
 (** [hold_writes t keys] keeps the write locks held open-endedly (the chain
     head holding locks until the tail's acknowledgment arrives, whose time
-    is unknown yet). The prior release time is remembered. *)
+    is unknown yet). The prior release time is remembered.
+
+    Known wrap: the hold stores [max_int] as the writer release, so a later
+    acquire computes [max now max_int + cost_ns], which wraps negative, and
+    the acquirer does not wait at all (its [waits] booking is garbage too).
+    ROADMAP item 3 holds the open fix; it moves simulated numbers, so
+    changing this line must be deliberate. *)
 val hold_writes : t -> key list -> unit
 
 (** [release_held_writes t keys ~at] ends an open-ended hold: the locks
@@ -95,6 +102,11 @@ val held_by_active_tx : t -> key -> bool
 val last_writer_task : t -> key -> int
 
 val set_last_writer_task : t -> key -> int -> unit
+
+(** [pinned t key ~applied_through] is [held_by_active_tx t key ||
+    last_writer_task t key > applied_through], from one look-up: the
+    dynamic backup's "never evict" predicate. *)
+val pinned : t -> key -> applied_through:int -> bool
 
 (** [waits t] is the cumulative virtual nanoseconds clients spent blocked on
     locks, and [wait_events t] how many acquisitions blocked — the benches

@@ -6,13 +6,19 @@
 
     Eviction skips keys the caller marks as locked: "locked objects are
     never evicted to ensure safety, that is pending objects are never
-    candidates for eviction". *)
+    candidates for eviction".
+
+    The queue is flat: a {!Flat_index} maps a key to a node id, and the
+    nodes' keys and prev/next links are int words of one array, -1 marking
+    the ends. Removed nodes go on a free list and are reused. Touching,
+    removing and finding a candidate allocate nothing but the candidate's
+    [Some]. *)
 
 type t
 
-(** [create ?size_hint ()] — [size_hint] pre-sizes the internal key table
-    (e.g. to the backup table's capacity) so large reattaches avoid
-    rehashing cascades. *)
+(** [create ?size_hint ()] — [size_hint] pre-sizes the index and the node
+    array (e.g. to the number of resident copies being reattached) so they
+    do not grow while it fills; both grow on demand past it. *)
 val create : ?size_hint:int -> unit -> t
 
 val length : t -> int

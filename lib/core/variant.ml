@@ -50,7 +50,6 @@ type config = {
   flush_per_intent : bool;
   global_pending : bool;
   coalesce_writes : bool;
-  lock_shards : int;
 }
 
 let default_config =
@@ -65,7 +64,6 @@ let default_config =
     flush_per_intent = false;
     global_pending = false;
     coalesce_writes = true;
-    lock_shards = 16;
   }
 
 (* --- Typed errors -------------------------------------------------------- *)
@@ -422,11 +420,10 @@ let task_cost cm ranges =
    active transaction holds it or while a committed-but-unapplied task still
    needs its resident copy. *)
 let pinned t key =
-  Locks.held_by_active_tx t.locks key
-  ||
-  match t.appl with
-  | Some a -> Locks.last_writer_task t.locks key > Applier.applied_through a
-  | None -> false
+  let applied_through =
+    match t.appl with Some a -> Applier.applied_through a | None -> max_int
+  in
+  Locks.pinned t.locks key ~applied_through
 
 (* Aggregate NVM counters over every region of the stack (heap, logs,
    backup): the whole point of coalescing and batching is to shrink the
@@ -504,9 +501,9 @@ let verify_backup t =
 let release_all tx ~write_release =
   let t = tx.owner in
   t.last_write_keys <- tx.lock_keys;
-  List.iter (fun e -> Locks.release_write_e e ~at:write_release) tx.lock_entries;
+  List.iter (fun e -> Locks.release_write_e t.locks e ~at:write_release) tx.lock_entries;
   let read_at = Clock.now t.clk in
-  List.iter (fun e -> Locks.release_read_e e ~at:read_at) tx.read_entries
+  List.iter (fun e -> Locks.release_read_e t.locks e ~at:read_at) tx.read_entries
 
 let finish tx =
   tx.finished <- true;

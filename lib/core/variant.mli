@@ -54,7 +54,6 @@ type config = {
   flush_per_intent : bool;
   global_pending : bool;
   coalesce_writes : bool;
-  lock_shards : int;
 }
 
 val default_config : config

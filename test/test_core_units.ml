@@ -66,30 +66,201 @@ let test_locks_last_task () =
   Locks.set_last_writer_task l 3 42;
   Alcotest.(check int) "task recorded" 42 (Locks.last_writer_task l 3)
 
-let test_locks_striping () =
-  Alcotest.(check int) "default stripe count" 16 (Locks.shard_count (Locks.create ()));
-  Alcotest.(check int) "custom stripe count" 4
-    (Locks.shard_count (Locks.create ~shards:4 ()));
-  Alcotest.(check int) "degenerate request clamps to one shard" 1
-    (Locks.shard_count (Locks.create ~shards:0 ()));
-  (* semantics are shard-invariant: replay the same script against 1-shard
-     and 16-shard tables and compare every acquire result *)
-  let script =
-    List.init 200 (fun i -> ((i * 7919) mod 4096, i mod 3, 100 * i))
-  in
-  let run shards =
-    let l = Locks.create ~shards () in
-    List.map
-      (fun (key, op, now) ->
+(* Reference model of the lock table's semantics over a Stdlib.Hashtbl of
+   records: the layout the flat table replaced. Every returned time and
+   the wait statistics must agree step by step, including the wrapping
+   [max_int] arithmetic of an open-ended hold. *)
+module Lock_model = struct
+  type e = {
+    mutable w : int;
+    mutable r : int;
+    mutable active : bool;
+    mutable task : int;
+    mutable held : int;
+  }
+
+  type t = { tbl : (int, e) Hashtbl.t; mutable waits : int; mutable events : int }
+
+  let create () = { tbl = Hashtbl.create 16; waits = 0; events = 0 }
+
+  let entry t k =
+    match Hashtbl.find_opt t.tbl k with
+    | Some e -> e
+    | None ->
+        let e = { w = 0; r = 0; active = false; task = -1; held = 0 } in
+        Hashtbl.add t.tbl k e;
+        e
+
+  let wait t now target =
+    if target > now then begin
+      t.waits <- t.waits + (target - now);
+      t.events <- t.events + 1
+    end
+
+  let acquire_write t k ~now ~cost =
+    let e = entry t k in
+    let avail = max e.w e.r in
+    wait t now avail;
+    e.active <- true;
+    max now avail + int_of_float cost
+
+  let acquire_read t k ~now ~cost =
+    let e = entry t k in
+    wait t now e.w;
+    max now e.w + int_of_float cost
+
+  let release_write t k ~at =
+    let e = entry t k in
+    e.active <- false;
+    if at > e.w then e.w <- at
+
+  let release_read t k ~at =
+    let e = entry t k in
+    if at > e.r then e.r <- at
+
+  let hold t k =
+    let e = entry t k in
+    e.held <- e.w;
+    e.w <- max_int
+
+  let release_held t k ~at =
+    let e = entry t k in
+    if e.w = max_int then e.w <- max e.held at else if at > e.w then e.w <- at
+
+  let find t k = Hashtbl.find_opt t.tbl k
+
+  let held t k = match find t k with Some e -> e.active | None -> false
+
+  let task t k = match find t k with Some e -> e.task | None -> -1
+end
+
+(* One step of a script. [h] routes the call through an entry handle, kept
+   from the key's first handle use, so handles taken before the index grew
+   stay in use after it. *)
+type lock_op =
+  | Acq_w of { k : int; now : int; cost : float; h : bool }
+  | Acq_r of { k : int; now : int; cost : float; h : bool }
+  | Rel_w of { k : int; at : int; h : bool }
+  | Rel_r of { k : int; at : int; h : bool }
+  | Hold of int list
+  | Rel_held of { ks : int list; at : int }
+  | Set_task of { k : int; id : int; h : bool }
+  | Held of int
+  | Task of { k : int; h : bool }
+  | Pinned of { k : int; applied : int }
+
+let show_lock_op = function
+  | Acq_w { k; now; cost; h } -> Printf.sprintf "acq_w %d now=%d cost=%g h=%b" k now cost h
+  | Acq_r { k; now; cost; h } -> Printf.sprintf "acq_r %d now=%d cost=%g h=%b" k now cost h
+  | Rel_w { k; at; h } -> Printf.sprintf "rel_w %d at=%d h=%b" k at h
+  | Rel_r { k; at; h } -> Printf.sprintf "rel_r %d at=%d h=%b" k at h
+  | Hold ks -> "hold " ^ String.concat "," (List.map string_of_int ks)
+  | Rel_held { ks; at } ->
+      Printf.sprintf "rel_held %s at=%d" (String.concat "," (List.map string_of_int ks)) at
+  | Set_task { k; id; h } -> Printf.sprintf "set_task %d id=%d h=%b" k id h
+  | Held k -> Printf.sprintf "held %d" k
+  | Task { k; h } -> Printf.sprintf "task %d h=%b" k h
+  | Pinned { k; applied } -> Printf.sprintf "pinned %d applied=%d" k applied
+
+(* About 3.5k distinct keys: cache-line-strided offsets, word-strided
+   offsets that share lines, and a few extreme ints. *)
+let lock_key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun i -> 64 * i) (int_bound 2999));
+        (3, map (fun i -> 4096 + (8 * i)) (int_bound 499));
+        (1, map (fun i -> max_int - i) (int_bound 3));
+        (1, map (fun i -> -1 - i) (int_bound 3));
+      ])
+
+let lock_op_gen =
+  let open QCheck.Gen in
+  let k = lock_key_gen and t = int_bound 100_000 in
+  let cost = oneofl [ 0.0; 5.0; 12.7 ] in
+  frequency
+    [
+      (4, map4 (fun k now cost h -> Acq_w { k; now; cost; h }) k t cost bool);
+      (3, map4 (fun k now cost h -> Acq_r { k; now; cost; h }) k t cost bool);
+      (3, map3 (fun k at h -> Rel_w { k; at; h }) k t bool);
+      (2, map3 (fun k at h -> Rel_r { k; at; h }) k t bool);
+      (1, map (fun ks -> Hold ks) (list_size (int_range 1 3) k));
+      (1, map2 (fun ks at -> Rel_held { ks; at }) (list_size (int_range 1 3) k) t);
+      (2, map3 (fun k id h -> Set_task { k; id; h }) k (int_bound 1000) bool);
+      (1, map (fun k -> Held k) k);
+      (1, map2 (fun k h -> Task { k; h }) k bool);
+      (1, map2 (fun k applied -> Pinned { k; applied }) k (int_bound 1000));
+    ]
+
+let locks_match_model_qcheck =
+  QCheck.Test.make ~name:"flat lock table matches a Hashtbl model" ~count:25
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map show_lock_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 3000 6000) lock_op_gen))
+    (fun ops ->
+      let l = Locks.create () and m = Lock_model.create () in
+      let handles = Hashtbl.create 64 in
+      let e k =
+        match Hashtbl.find_opt handles k with
+        | Some e -> e
+        | None ->
+            let e = Locks.entry_of l k in
+            Hashtbl.add handles k e;
+            e
+      in
+      let b2i b = if b then 1 else 0 in
+      let step op =
         match op with
-        | 0 -> Locks.acquire_write l key ~now ~cost_ns:5.0
-        | 1 -> Locks.acquire_read l key ~now ~cost_ns:5.0
-        | _ ->
-            Locks.release_writes l [ key ] ~at:(now + 50);
-            0)
-      script
-  in
-  Alcotest.(check (list int)) "one shard agrees with sixteen" (run 1) (run 16)
+        | Acq_w { k; now; cost; h } ->
+            ( (if h then Locks.acquire_write_e l (e k) ~now ~cost_ns:cost
+               else Locks.acquire_write l k ~now ~cost_ns:cost),
+              Lock_model.acquire_write m k ~now ~cost )
+        | Acq_r { k; now; cost; h } ->
+            ( (if h then Locks.acquire_read_e l (e k) ~now ~cost_ns:cost
+               else Locks.acquire_read l k ~now ~cost_ns:cost),
+              Lock_model.acquire_read m k ~now ~cost )
+        | Rel_w { k; at; h } ->
+            if h then Locks.release_write_e l (e k) ~at else Locks.release_writes l [ k ] ~at;
+            Lock_model.release_write m k ~at;
+            (0, 0)
+        | Rel_r { k; at; h } ->
+            if h then Locks.release_read_e l (e k) ~at else Locks.release_reads l [ k ] ~at;
+            Lock_model.release_read m k ~at;
+            (0, 0)
+        | Hold ks ->
+            Locks.hold_writes l ks;
+            List.iter (Lock_model.hold m) ks;
+            (0, 0)
+        | Rel_held { ks; at } ->
+            Locks.release_held_writes l ks ~at;
+            List.iter (fun k -> Lock_model.release_held m k ~at) ks;
+            (0, 0)
+        | Set_task { k; id; h } ->
+            if h then Locks.set_last_writer_task_e l (e k) id
+            else Locks.set_last_writer_task l k id;
+            (Lock_model.entry m k).Lock_model.task <- id;
+            (0, 0)
+        | Held k -> (b2i (Locks.held_by_active_tx l k), b2i (Lock_model.held m k))
+        | Task { k; h } ->
+            ( (if h then Locks.last_writer_task_e l (e k) else Locks.last_writer_task l k),
+              Lock_model.task m k )
+        | Pinned { k; applied } ->
+            ( b2i (Locks.pinned l k ~applied_through:applied),
+              b2i (Lock_model.held m k || Lock_model.task m k > applied) )
+      in
+      List.for_all
+        (fun op ->
+          let got, want = step op in
+          let ok =
+            got = want && Locks.waits l = m.waits && Locks.wait_events l = m.events
+          in
+          if not ok then
+            QCheck.Test.fail_reportf "%s: got %d want %d; waits %d/%d events %d/%d"
+              (show_lock_op op) got want (Locks.waits l) m.waits (Locks.wait_events l)
+              m.events;
+          ok)
+        ops)
 
 (* --- Applier -------------------------------------------------------------- *)
 
@@ -380,7 +551,7 @@ let () =
           Alcotest.test_case "release monotone" `Quick test_locks_release_is_monotone;
           Alcotest.test_case "active tracking" `Quick test_locks_active_tracking;
           Alcotest.test_case "last task" `Quick test_locks_last_task;
-          Alcotest.test_case "striping is transparent" `Quick test_locks_striping;
+          QCheck_alcotest.to_alcotest locks_match_model_qcheck;
         ] );
       ( "applier",
         [

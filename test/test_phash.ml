@@ -6,6 +6,7 @@ module Clock = Kamino_sim.Clock
 module Region = Kamino_nvm.Region
 module Phash = Kamino_core.Phash
 module Lru = Kamino_core.Lru
+module Flat_index = Kamino_core.Flat_index
 
 let make ?(capacity = 64) ?(crash_mode = Region.Drop_unflushed) ?(seed = 1) () =
   let clock = Clock.create () in
@@ -289,6 +290,157 @@ let lru_model_qcheck =
       let expect = match List.rev !model with [] -> None | k :: _ -> Some k in
       Lru.evict_candidate q ~locked:(fun _ -> false) = expect)
 
+(* --- Flat index --- *)
+
+(* The index under Lru and Locks against a Hashtbl. Few keys in a table
+   that starts at 16 slots keep it near its 3/4 load limit, so probe runs
+   are long and wrap past the last slot, where backward-shift deletion has
+   its cyclic case. *)
+let flat_index_qcheck =
+  QCheck.Test.make ~name:"flat index matches a Hashtbl under add/remove" ~count:300
+    QCheck.(list (pair (int_bound 2) (int_bound 40)))
+    (fun ops ->
+      let ix = Flat_index.create () and m = Hashtbl.create 16 in
+      List.for_all
+        (fun (op, i) ->
+          let key = 64 * i in
+          (match op with
+          | 0 ->
+              if not (Hashtbl.mem m key) then begin
+                Flat_index.add ix key i;
+                Hashtbl.add m key i
+              end
+          | 1 ->
+              let want = Option.value (Hashtbl.find_opt m key) ~default:(-1) in
+              Hashtbl.remove m key;
+              if Flat_index.remove ix key <> want then
+                QCheck.Test.fail_reportf "remove %d returned the wrong id" key
+          | _ -> ());
+          Flat_index.length ix = Hashtbl.length m
+          && List.for_all
+               (fun j ->
+                 let k = 64 * j in
+                 Flat_index.find ix k = Option.value (Hashtbl.find_opt m k) ~default:(-1))
+               (List.init 41 Fun.id))
+        ops)
+
+(* --- LRU differential --- *)
+
+(* Reference model: the queue as a map from recency stamp to key, i.e. the
+   key list in LRU-to-MRU order, with each key's current stamp on the side. *)
+module Lru_model = struct
+  module M = Map.Make (Int)
+
+  type t = { stamp : (int, int) Hashtbl.t; mutable order : int M.t; mutable clock : int }
+
+  let create () = { stamp = Hashtbl.create 64; order = M.empty; clock = 0 }
+
+  let remove t k =
+    match Hashtbl.find_opt t.stamp k with
+    | Some s ->
+        Hashtbl.remove t.stamp k;
+        t.order <- M.remove s t.order
+    | None -> ()
+
+  let touch t k =
+    remove t k;
+    t.clock <- t.clock + 1;
+    Hashtbl.replace t.stamp k t.clock;
+    t.order <- M.add t.clock k t.order
+
+  let candidate t ~locked =
+    Option.map snd (Seq.find (fun (_, k) -> not (locked k)) (M.to_seq t.order))
+
+  let lru_order t = List.map snd (M.bindings t.order)
+end
+
+type lru_op = Touch of int | Remove of int | Evict of int | Mem of int
+
+let show_lru_op = function
+  | Touch k -> Printf.sprintf "touch %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Evict salt -> Printf.sprintf "evict salt=%d" salt
+  | Mem k -> Printf.sprintf "mem %d" k
+
+(* The caller's lock predicate for [Evict salt]: locks about a quarter of
+   the keys, a different quarter per salt. *)
+let lru_locked salt k = Hashtbl.hash (k, salt) land 3 = 0
+
+(* Drives [ops] against both queues; every step compares [length], and
+   [Evict]/[Mem] compare their answers. [iter_lru_order] is compared at the
+   end, and every [check_every] steps when that is positive. *)
+let lru_agrees ?size_hint ?(check_every = 0) ops =
+  let q = Lru.create ?size_hint () and m = Lru_model.create () in
+  let order () =
+    let acc = ref [] in
+    Lru.iter_lru_order q (fun k -> acc := k :: !acc);
+    List.rev !acc
+  in
+  let fail i op what = QCheck.Test.fail_reportf "step %d (%s): %s" i (show_lru_op op) what in
+  List.iteri
+    (fun i op ->
+      (match op with
+      | Touch k ->
+          Lru.touch q k;
+          Lru_model.touch m k
+      | Remove k ->
+          Lru.remove q k;
+          Lru_model.remove m k
+      | Evict salt ->
+          let locked = lru_locked salt in
+          if Lru.evict_candidate q ~locked <> Lru_model.candidate m ~locked then
+            fail i op "candidate differs"
+      | Mem k -> if Lru.mem q k <> Hashtbl.mem m.Lru_model.stamp k then fail i op "mem differs");
+      if Lru.length q <> Hashtbl.length m.Lru_model.stamp then fail i op "length differs";
+      if check_every > 0 && i mod check_every = 0 && order () <> Lru_model.lru_order m then
+        fail i op "order differs")
+    ops;
+  order () = Lru_model.lru_order m
+
+(* A script is a run of phases, each either touch-heavy or remove-heavy,
+   over a few hundred keys strided like NVM offsets: the queue fills and
+   drains repeatedly, so probe-run deletion and node reuse both happen. *)
+let lru_script_gen =
+  let open QCheck.Gen in
+  let key = map (fun i -> 64 * i) (int_bound 299) in
+  let phase remove_heavy =
+    let w_touch, w_remove = if remove_heavy then (1, 4) else (4, 1) in
+    list_size (int_range 50 400)
+      (frequency
+         [
+           (w_touch, map (fun k -> Touch k) key);
+           (w_remove, map (fun k -> Remove k) key);
+           (1, map (fun salt -> Evict salt) nat);
+           (1, map (fun k -> Mem k) key);
+         ])
+  in
+  map List.concat (list_size (int_range 2 6) (bool >>= phase))
+
+let lru_differential_qcheck =
+  QCheck.Test.make ~name:"flat lru matches an ordered model, remove-heavy phases" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map show_lru_op ops))
+       ~shrink:QCheck.Shrink.list lru_script_gen)
+    (fun ops -> lru_agrees ~size_hint:0 ~check_every:50 ops)
+
+(* The size a reattach reaches: 120k resident keys, then a remove-heavy
+   churn that frees most nodes and reuses them. *)
+let test_lru_large () =
+  let rng = Random.State.make [| 7 |] in
+  let n = 120_000 in
+  let key () = 64 * Random.State.int rng (2 * n) in
+  let fill = List.init n (fun i -> Touch (64 * i)) in
+  let churn =
+    List.init 200_000 (fun i ->
+        match Random.State.int rng 10 with
+        | 0 | 1 | 2 | 3 | 4 | 5 -> Remove (key ())
+        | 6 | 7 -> Touch (key ())
+        | 8 -> Mem (key ())
+        | _ -> Evict i)
+  in
+  let refill = List.init n (fun _ -> Touch (key ())) in
+  Alcotest.(check bool) "agrees with the model" true (lru_agrees (fill @ churn @ refill))
+
 let () =
   Alcotest.run "phash_lru"
     [
@@ -320,6 +472,9 @@ let () =
           Alcotest.test_case "skips locked" `Quick test_lru_skips_locked;
           Alcotest.test_case "remove" `Quick test_lru_remove;
           Alcotest.test_case "remove head/tail" `Quick test_lru_remove_head_tail;
+          QCheck_alcotest.to_alcotest flat_index_qcheck;
           QCheck_alcotest.to_alcotest lru_model_qcheck;
+          QCheck_alcotest.to_alcotest lru_differential_qcheck;
+          Alcotest.test_case "120k keys with churn" `Quick test_lru_large;
         ] );
     ]
